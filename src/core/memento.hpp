@@ -20,7 +20,10 @@
 //     and its entry in the overflow table B is incremented;
 //   * a ring of k+1 block queues covers the window; one queued item is
 //     retired per packet (de-amortized, Algorithm 1 lines 8-11), so the
-//     oldest queue is provably empty when its block expires.
+//     oldest queue is provably empty when its block expires. Appends only
+//     ever go to the newest block and retirements only ever come from the
+//     oldest, so the ring is held as ONE FIFO of keys with a per-block end
+//     offset (block_fifo below), not as k+1 separate queues.
 //
 // Overflow-threshold scaling: Algorithm 1 prints the threshold as W/k, which
 // is exact for tau = 1. Under sampling, `y` counts *sampled* packets - about
@@ -96,34 +99,7 @@ class memento_sketch {
   };
 
   explicit memento_sketch(const memento_config& config)
-      : y_(config.counters > 0 ? config.counters : 1),
-        overflow_peaks_(config.counters > 0 ? config.counters : 1),
-        sampler_(config.tau, 1u << 16, config.seed),
-        tau_(std::clamp(config.tau, 0.0, 1.0)),
-        inv_tau_(tau_ > 0.0 ? 1.0 / tau_ : 0.0),
-        k_(config.counters > 0 ? config.counters : 1),
-        seed_(config.seed) {
-    if (config.window_size == 0) throw std::invalid_argument("memento: W must be >= 1");
-    if (config.counters == 0) throw std::invalid_argument("memento: counters must be >= 1");
-    if (config.tau <= 0.0 || config.tau > 1.0) {
-      throw std::invalid_argument("memento: tau must be in (0, 1]");
-    }
-    // Round the block length up so k * block >= W; the effective frame is
-    // k * block packets (>= W, < W + k). All guarantees hold for the rounded
-    // window, which `window_size()` reports.
-    block_len_ = (config.window_size + k_ - 1) / k_;
-    if (block_len_ == 0) block_len_ = 1;
-    frame_len_ = block_len_ * k_;
-    until_block_end_ = block_len_;
-    // Overflow threshold in *sampled* units (see file comment).
-    threshold_ = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               std::llround(static_cast<double>(frame_len_) * tau_ / static_cast<double>(k_))));
-    // ceil(2^64 / T): `c * magic < magic` (mod 2^64) iff T divides c, for
-    // T >= 2 [Lemire, Kaser & Granlund 2019]; T == 1 wraps magic to 0 and is
-    // special-cased at the test site.
-    threshold_magic_ = ~std::uint64_t{0} / threshold_ + 1;
-    blocks_.resize(k_ + 1);
+      : memento_sketch(config, space_saving<Key>(config.counters > 0 ? config.counters : 1)) {
     overflows_.reserve(4 * k_);
   }
 
@@ -246,7 +222,7 @@ class memento_sketch {
     window_update();
     const std::uint64_t count = y_.add(x);
     if (count % threshold_ == 0) {  // overflow (Algorithm 1 line 15)
-      blocks_[head_].items.push_back(x);
+      ring_.push(x);
       ++overflows_.find_or_emplace(x, 0);
       ++appends_this_block_;
     }
@@ -410,14 +386,14 @@ class memento_sketch {
     w.u64(clock_);
     w.u64(stream_length_);
     w.u64(forced_drains_);
-    w.varint(head_);
+    w.varint(ring_.head());
     w.varint(sampler_.cursor());
     y_.save(w);
     overflows_.save(w);
-    for (const block_queue& q : blocks_) {
-      w.varint(q.items.size() - q.next);  // compact: only live entries ship
-      for (std::size_t i = q.next; i < q.items.size(); ++i) {
-        wire::codec<Key>::put(w, q.items[i]);
+    for (std::size_t slot = 0; slot < ring_.blocks(); ++slot) {
+      w.varint(ring_.live(slot));  // compact: only live entries ship
+      for (std::uint64_t i = ring_.begin(slot); i < ring_.end(slot); ++i) {
+        wire::codec<Key>::put(w, ring_.at(i));
       }
     }
     w.end_section(tok);
@@ -465,24 +441,35 @@ class memento_sketch {
     out.until_block_end_ = out.block_len_ - clock % out.block_len_;
     out.stream_length_ = stream;
     out.forced_drains_ = drains;
-    out.head_ = static_cast<std::size_t>(head);
 
     auto y = space_saving<Key>::restore(body);
     if (!y || y->capacity() != out.k_) return std::nullopt;
     out.y_ = std::move(*y);
     if (!out.overflows_.restore(body)) return std::nullopt;
-    for (block_queue& q : out.blocks_) {
-      std::uint64_t n = 0;
+    // Each slot's count precedes its keys; the FIFO needs every count before
+    // it can place a key, so a first pass reads the counts (decoding the
+    // keys only to step over them - key codecs need not be fixed-width) and
+    // a second, on a copy of the reader, places the keys.
+    std::vector<std::uint64_t> live(out.ring_.blocks());
+    wire::reader keys = body;
+    for (std::uint64_t& n : live) {
       // Divide, don't multiply: a corrupt 2^61 count must fail the guard,
-      // not wrap it and throw from the resize below.
+      // not wrap it.
       if (!body.varint(n) || n > body.remaining() / 8) return std::nullopt;
-      q.items.resize(static_cast<std::size_t>(n));
-      q.next = 0;
-      for (auto& key : q.items) {
-        if (!wire::codec<Key>::get(body, key)) return std::nullopt;
+      Key skipped{};
+      for (std::uint64_t i = 0; i < n; ++i) {
+        if (!wire::codec<Key>::get(body, skipped)) return std::nullopt;
       }
     }
     if (!body.done()) return std::nullopt;
+    out.ring_.lay_out(static_cast<std::size_t>(head), live);
+    for (std::size_t slot = 0; slot < out.ring_.blocks(); ++slot) {
+      std::uint64_t n = 0;
+      if (!keys.varint(n)) return std::nullopt;
+      for (std::uint64_t i = out.ring_.begin(slot); i < out.ring_.end(slot); ++i) {
+        if (!wire::codec<Key>::get(keys, out.ring_.at(i))) return std::nullopt;
+      }
+    }
     return out;
   }
 
@@ -501,26 +488,34 @@ class memento_sketch {
     s.u64(clock_);
     s.u64(stream_length_);
     s.u64(forced_drains_);
-    s.varint(head_);
+    s.varint(ring_.head());
     s.varint(sampler_.cursor());
     y_.save(s, packed);
     overflows_.save_stream(s, packed);
-    std::size_t total = 0;
-    for (const block_queue& q : blocks_) {
-      const std::size_t live = q.items.size() - q.next;
+    std::uint64_t total = 0;
+    for (std::size_t slot = 0; slot < ring_.blocks(); ++slot) {
+      const std::uint64_t live = ring_.live(slot);
       s.varint(live);
       total += live;
     }
-    std::size_t qi = 0, ii = blocks_.empty() ? 0 : blocks_[0].next;
-    wire::put_u64_array(s, total, packed, [&] {
-      while (ii >= blocks_[qi].items.size()) ii = blocks_[++qi].next;
-      return wire::codec<Key>::to_u64(blocks_[qi].items[ii++]);
+    std::size_t slot = 0;
+    std::uint64_t i = ring_.begin(0), end = ring_.end(0);
+    wire::put_u64_array(s, static_cast<std::size_t>(total), packed, [&] {
+      while (i == end) {
+        ++slot;
+        i = ring_.begin(slot);
+        end = ring_.end(slot);
+      }
+      return wire::codec<Key>::to_u64(ring_.at(i++));
     });
     s.end_section();
   }
 
   /// Rebuilds a sketch from streamed save() output; same validation contract
-  /// as the buffered restore plus the section CRC.
+  /// as the buffered restore plus the section CRC. Every part is built once,
+  /// straight from the stream: the Space-Saving is decoded first and the
+  /// sketch constructed around it, the overflow table is allocated at its
+  /// saved capacity, and the block FIFO at the saved key count.
   [[nodiscard]] static std::optional<memento_sketch> restore(wire::source& s) {
     std::uint16_t version = 0;
     if (!s.open_section(kWireTag, version) || version != kWireVersionStream) return std::nullopt;
@@ -538,38 +533,38 @@ class memento_sketch {
     if (!(tau > 0.0) || tau > 1.0) return std::nullopt;  // excludes NaN too
     if (clock >= frame || head > k) return std::nullopt;
 
-    memento_sketch out(memento_config{frame, static_cast<std::size_t>(k), tau, seed});
+    auto y = space_saving<Key>::restore(s);
+    if (!y || y->capacity() != k) return std::nullopt;
+    memento_sketch out(memento_config{frame, static_cast<std::size_t>(k), tau, seed},
+                       std::move(*y));
     if (out.frame_len_ != frame) return std::nullopt;
     if (!out.sampler_.set_cursor(static_cast<std::size_t>(cursor))) return std::nullopt;
     out.clock_ = clock;
     out.until_block_end_ = out.block_len_ - clock % out.block_len_;
     out.stream_length_ = stream;
     out.forced_drains_ = drains;
-    out.head_ = static_cast<std::size_t>(head);
 
-    auto y = space_saving<Key>::restore(s);
-    if (!y || y->capacity() != out.k_) return std::nullopt;
-    out.y_ = std::move(*y);
     if (!out.overflows_.restore_stream(s, packed)) return std::nullopt;
     // No byte-budget guard is possible on a stream, so cap the total queued
     // keys absolutely: an honest ring never holds more than ~W overflow
     // events, and 2^22 (32 MB of keys) is far above any tested config while
     // bounding what a lying count can make restore allocate.
+    std::vector<std::uint64_t> live(out.ring_.blocks());
     std::uint64_t total = 0;
-    for (block_queue& q : out.blocks_) {
-      std::uint64_t n = 0;
+    for (std::uint64_t& n : live) {
       if (!s.varint(n) || n > (std::uint64_t{1} << 22) - total) return std::nullopt;
       total += n;
-      q.items.resize(static_cast<std::size_t>(n));
-      q.next = 0;
     }
-    std::size_t qi = 0, ii = 0;
+    out.ring_.lay_out(static_cast<std::size_t>(head), live);
+    std::size_t slot = 0;
+    std::uint64_t i = out.ring_.begin(0), end = out.ring_.end(0);
     if (!wire::get_u64_array(s, static_cast<std::size_t>(total), packed, [&](std::uint64_t raw) {
-          while (ii >= out.blocks_[qi].items.size()) {
-            ++qi;
-            ii = 0;
+          while (i == end) {
+            ++slot;
+            i = out.ring_.begin(slot);
+            end = out.ring_.end(slot);
           }
-          return wire::codec<Key>::from_u64(raw, out.blocks_[qi].items[ii++]);
+          return wire::codec<Key>::from_u64(raw, out.ring_.at(i++));
         })) {
       return std::nullopt;
     }
@@ -584,18 +579,134 @@ class memento_sketch {
   /// decisions + 256 buckets ~ 2.25 KB of stack) and the prefetch window.
   static constexpr std::size_t kBatchChunk = 256;
 
-  /// FIFO queue of one block's overflow events. Retirement consumes from
-  /// `next`, appends go to the back; storage is recycled on block reuse.
-  struct block_queue {
-    std::vector<Key> items;
-    std::size_t next = 0;
+  /// The queue-of-queues b (a ring of k+1 block queues) as one FIFO of
+  /// keys. Appends only ever go to the newest (head) block and retirements
+  /// only ever come from the oldest (tail), so the blocks are consecutive
+  /// runs of a single FIFO and a block is just the absolute FIFO position
+  /// where its run ends. Keys live in a power-of-two ring buffer indexed by
+  /// absolute position; it doubles when full and never shrinks, so the
+  /// steady state allocates nothing.
+  class block_fifo {
+   public:
+    explicit block_fifo(std::size_t blocks) : end_(blocks, 0) {}
 
-    [[nodiscard]] bool empty() const noexcept { return next >= items.size(); }
-    void clear() noexcept {
-      items.clear();
-      next = 0;
+    /// Appends x to the newest block.
+    void push(const Key& x) {
+      std::uint64_t& back = end_[head_];
+      if (back - front_ == buf_.size()) grow();
+      buf_[back & mask_] = x;
+      ++back;
     }
+
+    /// Removes and returns the oldest key of the oldest block, which must
+    /// not be empty. The reference is valid until the next push().
+    const Key& pop() noexcept { return buf_[front_++ & mask_]; }
+
+    /// Absolute FIFO position one past the oldest block's keys: that block
+    /// is empty once front() reaches it. Appends never move it.
+    [[nodiscard]] std::uint64_t tail_end() const noexcept { return end_[tail()]; }
+    [[nodiscard]] std::uint64_t front() const noexcept { return front_; }
+
+    /// Ends the newest block: the oldest block's slot, which must be empty,
+    /// becomes the newest.
+    void advance_head() noexcept {
+      const std::uint64_t back = end_[head_];
+      head_ = tail();
+      end_[head_] = back;
+    }
+
+    // --- slot-order access (save, restore, reshard) ---------------------
+    // Blocks keep their ring slot numbers: slot head() is the newest block,
+    // slot head()+1 (mod blocks()) the oldest. A slot's live keys are the
+    // FIFO positions [begin(slot), end(slot)).
+
+    [[nodiscard]] std::size_t blocks() const noexcept { return end_.size(); }
+    [[nodiscard]] std::size_t head() const noexcept { return head_; }
+    [[nodiscard]] std::uint64_t begin(std::size_t slot) const noexcept {
+      if (slot == tail()) return front_;
+      return end_[slot == 0 ? end_.size() - 1 : slot - 1];
+    }
+    [[nodiscard]] std::uint64_t end(std::size_t slot) const noexcept { return end_[slot]; }
+    [[nodiscard]] std::uint64_t live(std::size_t slot) const noexcept {
+      return end(slot) - begin(slot);
+    }
+    [[nodiscard]] Key& at(std::uint64_t pos) noexcept { return buf_[pos & mask_]; }
+    [[nodiscard]] const Key& at(std::uint64_t pos) const noexcept { return buf_[pos & mask_]; }
+
+    /// Loader: makes `head` the newest slot and gives each slot live[slot]
+    /// (default) keys, laid out oldest block first; the caller then fills
+    /// every slot's [begin, end) through at(). Replaces all contents.
+    void lay_out(std::size_t head, std::span<const std::uint64_t> live) {
+      head_ = head;
+      front_ = 0;
+      std::uint64_t pos = 0;
+      for (std::size_t age = 1; age <= end_.size(); ++age) {
+        const std::size_t slot = (head + age) % end_.size();
+        pos += live[slot];
+        end_[slot] = pos;
+      }
+      std::size_t cap = kMinKeys;
+      while (cap < pos) cap <<= 1;
+      buf_.assign(cap, Key{});
+      mask_ = cap - 1;
+    }
+
+   private:
+    static constexpr std::size_t kMinKeys = 64;
+
+    [[nodiscard]] std::size_t tail() const noexcept {
+      return head_ + 1 == end_.size() ? 0 : head_ + 1;
+    }
+
+    void grow() {
+      std::vector<Key> bigger(std::max(kMinKeys, 2 * buf_.size()));
+      const std::uint64_t mask = bigger.size() - 1;
+      for (std::uint64_t i = front_; i < end_[head_]; ++i) bigger[i & mask] = buf_[i & mask_];
+      buf_ = std::move(bigger);
+      mask_ = mask;
+    }
+
+    std::vector<Key> buf_;             ///< FIFO storage, power-of-two size
+    std::vector<std::uint64_t> end_;   ///< per slot: absolute end of its block
+    std::uint64_t mask_ = 0;
+    std::uint64_t front_ = 0;          ///< absolute position of the oldest key
+    std::size_t head_ = 0;             ///< newest block's slot
   };
+
+  /// Builds the sketch around `y`, which has config.counters counters: the
+  /// public constructor hands in a fresh instance, the streamed restore the
+  /// one it just decoded. The overflow table starts unreserved (restore
+  /// fills it at its saved capacity).
+  memento_sketch(const memento_config& config, space_saving<Key>&& y)
+      : y_(std::move(y)),
+        overflow_peaks_(config.counters > 0 ? config.counters : 1),
+        sampler_(config.tau, 1u << 16, config.seed),
+        ring_((config.counters > 0 ? config.counters : 1) + 1),
+        tau_(std::clamp(config.tau, 0.0, 1.0)),
+        inv_tau_(tau_ > 0.0 ? 1.0 / tau_ : 0.0),
+        k_(config.counters > 0 ? config.counters : 1),
+        seed_(config.seed) {
+    if (config.window_size == 0) throw std::invalid_argument("memento: W must be >= 1");
+    if (config.counters == 0) throw std::invalid_argument("memento: counters must be >= 1");
+    if (config.tau <= 0.0 || config.tau > 1.0) {
+      throw std::invalid_argument("memento: tau must be in (0, 1]");
+    }
+    // Round the block length up so k * block >= W; the effective frame is
+    // k * block packets (>= W, < W + k). All guarantees hold for the rounded
+    // window, which `window_size()` reports.
+    block_len_ = (config.window_size + k_ - 1) / k_;
+    if (block_len_ == 0) block_len_ = 1;
+    frame_len_ = block_len_ * k_;
+    until_block_end_ = block_len_;
+    // Overflow threshold in *sampled* units (see file comment).
+    threshold_ = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::llround(static_cast<double>(frame_len_) * tau_ / static_cast<double>(k_))));
+    // ceil(2^64 / T): `c * magic < magic` (mod 2^64) iff T divides c, for
+    // T >= 2 [Lemire, Kaser & Granlund 2019]; T == 1 wraps magic to 0 and is
+    // special-cased at the test site.
+    threshold_magic_ = ~std::uint64_t{0} / threshold_ + 1;
+  }
 
   /// The batch kernel: one chunk (m <= kBatchChunk) of packets, with the
   /// sampling decisions already drawn (dec, or every packet when AllSampled).
@@ -636,9 +747,9 @@ class memento_sketch {
       // Interior packets see no boundary. Retirements pop the oldest block's
       // queue while appends go to the newest, so once the tail queue drains
       // it stays empty for the rest of the run and the retire test vanishes.
-      block_queue& tail = blocks_[tail_index()];
-      for (; j < interior_end && !tail.empty(); ++j) {
-        drop_oldest(tail);
+      const std::uint64_t tail_end = ring_.tail_end();
+      for (; j < interior_end && ring_.front() < tail_end; ++j) {
+        drop_oldest();
         if (AllSampled || dec[j]) {
           full_add(xs[j], kUseBuckets ? buckets[j] : y_.index_bucket(xs[j]));
         }
@@ -677,7 +788,7 @@ class memento_sketch {
   void full_add(const Key& x, std::size_t bucket) {
     const std::uint64_t count = y_.add_prehashed(bucket, x);
     if (count * threshold_magic_ < threshold_magic_ || threshold_ == 1) {
-      blocks_[head_].items.push_back(x);
+      ring_.push(x);
       ++overflows_.find_or_emplace(x, 0);
       ++appends_this_block_;
     }
@@ -715,9 +826,8 @@ class memento_sketch {
 
   /// At most `budget` retirements from the current oldest block's queue.
   void retire_up_to(std::uint64_t budget) {
-    block_queue& q = blocks_[tail_index()];
-    const auto avail = static_cast<std::uint64_t>(q.items.size() - q.next);
-    for (std::uint64_t d = std::min(budget, avail); d > 0; --d) drop_oldest(q);
+    const std::uint64_t avail = ring_.tail_end() - ring_.front();
+    for (std::uint64_t d = std::min(budget, avail); d > 0; --d) drop_oldest();
   }
 
   /// Ends the current block: the oldest queue leaves the window and a fresh
@@ -725,42 +835,34 @@ class memento_sketch {
   void rotate_blocks() {
     overflow_peaks_.push(appends_this_block_);  // the block just completed
     appends_this_block_ = 0;
-    head_ = head_ + 1 == blocks_.size() ? 0 : head_ + 1;
-    // The slot we are claiming held the expired oldest queue. De-amortized
+    // The slot we are claiming holds the expired oldest queue. De-amortized
     // retirement guarantees it is already empty; drain defensively if not so
     // the overflow table can never leak (counted for the tests).
-    block_queue& reused = blocks_[head_];
-    while (!reused.empty()) {
+    for (const std::uint64_t end = ring_.tail_end(); ring_.front() < end;) {
       ++forced_drains_;
-      drop_oldest(reused);
+      drop_oldest();
     }
-    reused.clear();
+    ring_.advance_head();
   }
 
   /// Retires at most one overflow of the oldest block (lines 8-11).
   void retire_one() {
-    block_queue& tail = blocks_[tail_index()];
-    if (!tail.empty()) drop_oldest(tail);
+    if (ring_.front() < ring_.tail_end()) drop_oldest();
   }
 
-  void drop_oldest(block_queue& q) {
-    const Key& old_id = q.items[q.next++];
+  /// Retires the oldest queued overflow (the oldest block must be live).
+  void drop_oldest() {
+    const Key& old_id = ring_.pop();
     if (std::uint32_t* count = overflows_.find(old_id)) {
       if (--(*count) == 0) overflows_.erase(old_id);
     }
-  }
-
-  /// Oldest live block: the slot after head in the (k+1)-ring.
-  [[nodiscard]] std::size_t tail_index() const noexcept {
-    return head_ + 1 == blocks_.size() ? 0 : head_ + 1;
   }
 
   space_saving<Key> y_;                       ///< in-frame sampled counts
   max_window_u64 overflow_peaks_;             ///< per-block append peaks, last k blocks
   random_table_sampler sampler_;              ///< Bernoulli(tau) decisions
   flat_hash<Key, std::uint32_t> overflows_;   ///< the table B
-  std::vector<block_queue> blocks_;           ///< the queue-of-queues b (k+1 ring)
-  std::size_t head_ = 0;                      ///< current block slot
+  block_fifo ring_;                           ///< the queue-of-queues b (k+1 blocks)
   double tau_;
   double inv_tau_;
   std::size_t k_;

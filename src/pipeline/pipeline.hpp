@@ -144,6 +144,10 @@ class pipeline {
   using frontend_type = sharded_memento<key_type>;
   using heavy_hitter = typename frontend_type::heavy_hitter;
 
+  /// Packets per burst: run_pull's default pull size and the largest slice
+  /// a push-mode worker runs (and times) at once.
+  static constexpr std::size_t kBurst = 256;
+
   explicit pipeline(const pipeline_config& config)
       : config_(config), frontend_(config.sharding), rx_stats_(config.sharding.shards) {
     const std::size_t cores = config.sharding.shards;
@@ -261,7 +265,7 @@ class pipeline {
   /// sources.size() must equal cores() (source c must hold core c's
   /// keyspace - use rss_steer with core_of). Returns wall seconds measured
   /// across the parallel section.
-  double run_pull(std::span<packet_ring> sources, double seconds, std::size_t burst = 256) {
+  double run_pull(std::span<packet_ring> sources, double seconds, std::size_t burst = kBurst) {
     if (started_) throw std::logic_error("pipeline: run_pull requires the push workers stopped");
     if (sources.size() != cores()) {
       throw std::invalid_argument("pipeline: need one pre-steered source per core");
@@ -461,8 +465,11 @@ class pipeline {
         continue;
       }
       backoff.reset();
-      run_stages(c, std::span<const packet>(data, n), /*timed=*/true);
-      ring.pop(n);
+      // Under load the readable span grows toward the ring's capacity; run
+      // it in run_pull-sized bursts so each latency sample is one burst.
+      const std::size_t m = std::min(n, kBurst);
+      run_stages(c, std::span<const packet>(data, m), /*timed=*/true);
+      ring.pop(m);
     }
   }
 

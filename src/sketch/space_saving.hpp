@@ -35,6 +35,7 @@
 
 #include "util/compress.hpp"
 #include "util/flat_hash.hpp"
+#include "util/huge_page_allocator.hpp"
 #include "util/simd.hpp"
 #include "util/wire.hpp"
 
@@ -383,7 +384,7 @@ class space_saving {
     if (cap == 0 || cap >= npos || cap > kMaxRestoreCounters) return std::nullopt;
     if (used > cap || nbuckets > 2 * cap + 2) return std::nullopt;
 
-    space_saving out(static_cast<std::size_t>(cap));
+    space_saving out(static_cast<std::size_t>(cap), unindexed{});
     out.used_ = static_cast<std::size_t>(used);
     out.adds_ = adds;
     out.min_bucket_ = min_bucket;
@@ -476,6 +477,14 @@ class space_saving {
   static constexpr std::size_t kAddChunk = 32;
 
   friend class snapshot_builder;  ///< reshard's bulk state loader (snapshot/reshard.hpp)
+
+  /// Streamed restore's constructor: the counter arrays and the bucket
+  /// reserve, but no key index - rebuild_placed allocates it once, at the
+  /// saved capacity.
+  struct unindexed {};
+  space_saving(std::size_t capacity, unindexed) : nodes_(capacity), counts_(capacity, 0) {
+    buckets_.reserve(capacity + 1);
+  }
 
   /// Everything a counter mutation touches besides its count, packed into
   /// ONE node (32 bytes for 8-byte keys) so an add dirties at most two data
@@ -705,7 +714,7 @@ class space_saving {
     return target;
   }
 
-  std::vector<cnode> nodes_;             ///< per-counter key + overestimate + links
+  std::vector<cnode, huge_page_allocator<cnode>> nodes_;  ///< key + overestimate + links
   std::vector<std::uint64_t> counts_;    ///< counter values - contiguous for SIMD scans
   std::vector<bucket_node> buckets_;
   flat_hash<Key, std::uint32_t> index_;

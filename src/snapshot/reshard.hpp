@@ -255,13 +255,12 @@ class snapshot_builder {
       });
       // Walk the ring newest-first so ages are deterministic: age 0 is the
       // current block, age k_old the one about to expire.
-      const std::size_t ring = src.blocks_.size();
-      for (std::size_t age = 0; age < ring; ++age) {
-        const std::size_t slot = (src.head_ + ring - age) % ring;
-        const auto& q = src.blocks_[slot];
+      const auto& ring = src.ring_;
+      for (std::size_t age = 0; age < ring.blocks(); ++age) {
+        const std::size_t slot = (ring.head() + ring.blocks() - age) % ring.blocks();
         const auto new_age = scale_age(age, k_old, k_new);
-        for (std::size_t i = q.next; i < q.items.size(); ++i) {
-          queued[owner_of(q.items[i], o)].push_back({new_age, q.items[i]});
+        for (std::uint64_t i = ring.begin(slot); i < ring.end(slot); ++i) {
+          queued[owner_of(ring.at(i), o)].push_back({new_age, ring.at(i)});
         }
       }
     }
@@ -286,11 +285,16 @@ class snapshot_builder {
         if (dst.overflows_.contains(key)) return false;
         dst.overflows_.find_or_emplace(key, 0) += b;
       }
-      const std::size_t ring = dst.blocks_.size();  // k_new + 1
-      for (const auto& [age, key] : queued[s]) {
-        dst.blocks_[(ring - age) % ring].items.push_back(key);
-      }
-      dst.head_ = 0;  // age a lives at slot (ring - a) % ring
+      // Age a lives at slot (ring - a) % ring with slot 0 the newest; each
+      // block keeps its keys in walk order.
+      auto& ring = dst.ring_;
+      const std::size_t blocks = ring.blocks();  // k_new + 1
+      std::vector<std::uint64_t> live(blocks, 0);
+      for (const auto& entry : queued[s]) ++live[(blocks - entry.first) % blocks];
+      ring.lay_out(/*head=*/0, live);
+      std::vector<std::uint64_t>& next = live;  // from here: each slot's write cursor
+      for (std::size_t slot = 0; slot < blocks; ++slot) next[slot] = ring.begin(slot);
+      for (const auto& [age, key] : queued[s]) ring.at(next[(blocks - age) % blocks]++) = key;
       dst.clock_ = clock;
       dst.until_block_end_ = dst.block_len_ - clock % dst.block_len_;
       // Spread the remainder so the global stream length survives the move

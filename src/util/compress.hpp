@@ -74,20 +74,25 @@ inline void pack_bits(const std::uint64_t* v, std::size_t m, unsigned bits,
   }
 }
 
-/// Reads the value at bit position `bitpos` (bits in [1, 64]).
+/// Bytes a packed block must be followed by for unpack_one's word loads.
+inline constexpr std::size_t kUnpackSlack = 8;
+
+/// Reads the value at bit position `bitpos` (bits in [1, 64]) with one
+/// little-endian word load (plus one byte when the value straddles nine
+/// bytes); `in` must have kUnpackSlack readable bytes past the packed data.
 [[nodiscard]] inline std::uint64_t unpack_one(const std::uint8_t* in, std::size_t bitpos,
                                               unsigned bits) noexcept {
-  std::uint64_t v = 0;
-  unsigned got = 0;
-  std::size_t byte = bitpos >> 3;
-  unsigned off = bitpos & 7;
-  while (got < bits) {
-    v |= static_cast<std::uint64_t>(in[byte] >> off) << got;
-    got += 8 - off;
-    ++byte;
-    off = 0;
+  const std::size_t byte = bitpos >> 3;
+  const unsigned off = bitpos & 7;
+  std::uint64_t word = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&word, in + byte, 8);
+  } else {
+    for (int i = 7; i >= 0; --i) word = word << 8 | in[byte + static_cast<std::size_t>(i)];
   }
-  return bits < 64 ? v & (~std::uint64_t{0} >> (64 - bits)) : v;
+  word >>= off;
+  if (off + bits > 64) word |= static_cast<std::uint64_t>(in[byte + 8]) << (64 - off);
+  return bits < 64 ? word & (~std::uint64_t{0} >> (64 - bits)) : word;
 }
 
 [[nodiscard]] inline std::uint64_t zigzag_encode(std::int64_t v) noexcept {
@@ -132,7 +137,7 @@ void put_u64_array(sink& s, std::size_t n, bool packed, NextFn&& next) {
 /// put() rejecting a value.
 template <typename PutFn>
 [[nodiscard]] bool get_u64_array(source& s, std::size_t n, bool packed, PutFn&& put) {
-  std::uint8_t bytes[kPackBlock * 8];
+  std::uint8_t bytes[kPackBlock * 8 + detail::kUnpackSlack];
   std::size_t done = 0;
   while (done < n) {
     const std::size_t m = std::min(kPackBlock, n - done);
@@ -147,6 +152,7 @@ template <typename PutFn>
       if (!s.varint(base) || !s.u8(bits) || bits > 64) return false;
       const std::size_t nbytes = (m * bits + 7) / 8;
       if (!s.read(bytes, nbytes)) return false;
+      std::memset(bytes + nbytes, 0, detail::kUnpackSlack);
       for (std::size_t i = 0; i < m; ++i) {
         const std::uint64_t d = bits == 0 ? 0 : detail::unpack_one(bytes, i * bits, bits);
         if (d > ~std::uint64_t{0} - base) return false;  // base + d wraps

@@ -30,15 +30,18 @@
 // invalidated by rehash (growth only - erase never moves the table).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "util/compress.hpp"
+#include "util/huge_page_allocator.hpp"
 #include "util/random.hpp"
 #include "util/simd.hpp"
 #include "util/wire.hpp"
@@ -406,40 +409,69 @@ class flat_hash {
     slots_.assign(static_cast<std::size_t>(cap), slot{});
     ctrl_.assign(static_cast<std::size_t>(cap) + kCtrlPad, simd::kCtrlEmpty);
     mask_ = static_cast<std::size_t>(cap) - 1;
-    for (std::uint64_t n = 0; n < count; ++n) {
-      std::uint64_t pos = 0, value = 0;
-      Key key{};
-      next_entry(n, pos, key, value);
-      if (pos >= cap || is_used(static_cast<std::size_t>(pos)) ||
-          value > std::numeric_limits<Value>::max()) {
-        clear();
-        return false;
+    // Entries arrive in the owner's order, so their slots are scattered:
+    // fetch a batch ahead and prefetch every target before placing any.
+    constexpr std::size_t kAhead = 16;
+    std::uint64_t pos[kAhead] = {}, value[kAhead] = {};
+    Key key[kAhead] = {};
+    for (std::uint64_t n0 = 0; n0 < count; n0 += kAhead) {
+      const auto m = static_cast<std::size_t>(std::min<std::uint64_t>(kAhead, count - n0));
+      for (std::size_t j = 0; j < m; ++j) {
+        next_entry(n0 + j, pos[j], key[j], value[j]);
+        __builtin_prefetch(ctrl_.data() + (pos[j] & mask_), 1);
+        __builtin_prefetch(&slots_[pos[j] & mask_], 1);
       }
-      place(static_cast<std::size_t>(pos), token_of(key), key, static_cast<Value>(value));
+      for (std::size_t j = 0; j < m; ++j) {
+        if (pos[j] >= cap || is_used(static_cast<std::size_t>(pos[j])) ||
+            value[j] > std::numeric_limits<Value>::max()) {
+          clear();
+          return false;
+        }
+        place(static_cast<std::size_t>(pos[j]), token_of(key[j]), key[j],
+              static_cast<Value>(value[j]));
+      }
     }
     return probe_layout_valid();
   }
 
  private:
-  /// Probe-reachability check shared by both restore paths: every entry must
-  /// be findable by walking from its home bucket through used slots.
-  /// Rejecting (and clearing) here keeps find()'s "empty slot terminates the
-  /// probe" invariant true for restored tables - malformed bytes can never
-  /// produce a table with silently unfindable entries.
+  /// Probe-reachability check shared by the restore paths: every entry must
+  /// be findable by walking from its home bucket through used slots, i.e.
+  /// no empty slot may lie between an entry's home and its position. One
+  /// pass in probe order, starting after an empty slot, counts the used
+  /// slots directly before each position, so an entry costs one hash and a
+  /// compare instead of a walk (and all-empty control words are skipped
+  /// eight at a time). Rejecting (and clearing) here keeps find()'s "empty
+  /// slot terminates the probe" invariant true for restored tables -
+  /// malformed bytes can never produce a table with silently unfindable
+  /// entries.
   [[nodiscard]] bool probe_layout_valid() {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!is_used(i)) continue;
-      std::size_t walk = token_of(slots_[i].key) & mask_;
-      std::size_t steps = 0;
-      while (walk != i) {
-        if (!is_used(walk) || ++steps > size_) {
-          clear();
+    if (size_ == 0) return true;
+    const std::size_t cap = slots_.size();
+    std::size_t start = 0;  // restore keeps load <= 3/4, so one exists
+    while (start < cap && is_used(start)) ++start;
+    std::size_t run = 0;  // used slots directly before i in probe order
+    const auto scan = [&](std::size_t i, std::size_t end) {
+      while (i < end) {
+        std::uint64_t word = 0;
+        if (end - i >= 8) std::memcpy(&word, ctrl_.data() + i, 8);
+        if (word == kEmptyWord) {
+          run = 0;
+          i += 8;
+          continue;
+        }
+        if (!is_used(i)) {
+          run = 0;
+        } else if (((i - token_of(slots_[i].key)) & mask_) > run++) {
           return false;
         }
-        walk = next(walk);
+        ++i;
       }
-    }
-    return true;
+      return true;
+    };
+    if (start < cap && scan(start + 1, cap) && scan(0, start)) return true;
+    clear();
+    return false;
   }
 
   static constexpr std::size_t kMinCapacity = 8;
@@ -453,6 +485,8 @@ class flat_hash {
   /// mirror replicates the array's head, so group probes need no bounds
   /// logic; set_ctrl keeps it coherent.
   static constexpr std::size_t kCtrlPad = 31;
+  /// Eight empty control bytes read as one word.
+  static constexpr std::uint64_t kEmptyWord = 0x0101010101010101ULL * simd::kCtrlEmpty;
   static constexpr std::size_t knpos = std::numeric_limits<std::size_t>::max();
 
   struct slot {
@@ -646,7 +680,7 @@ class flat_hash {
   }
 
   void rehash(std::size_t new_capacity) {
-    std::vector<slot> old = std::move(slots_);
+    auto old = std::move(slots_);
     std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
     slots_.assign(new_capacity, slot{});
     ctrl_.assign(new_capacity + kCtrlPad, simd::kCtrlEmpty);
@@ -670,7 +704,7 @@ class flat_hash {
     ++size_;
   }
 
-  std::vector<slot> slots_;
+  std::vector<slot, huge_page_allocator<slot>> slots_;
   std::vector<std::uint8_t> ctrl_;  ///< H2 tags / empty sentinels + mirror
   std::size_t mask_ = 0;
   std::size_t size_ = 0;

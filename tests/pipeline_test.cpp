@@ -171,6 +171,25 @@ TEST(PipelinePush, StopDrainsAndRestartResumes) {
   pipe.stop();
 }
 
+TEST(PipelinePush, RecordsOneLatencySamplePerBurst) {
+  // One offer far larger than a burst lands in the ring as one readable
+  // span; the worker must still run and time it burst by burst, so the
+  // histogram holds per-burst service times, not per-span ones.
+  auto cfg = small_config(1);
+  cfg.ring_capacity = 1u << 16;
+  pipeline<> pipe(cfg);
+  const auto trace = make_trace(trace_kind::backbone, 50'000, 5);
+  pipe.start();
+  EXPECT_EQ(pipe.offer(0, std::span<const packet>(trace)), trace.size());
+  pipe.drain();
+  const auto total = pipe.report();
+  EXPECT_EQ(total.ingested, trace.size());
+  EXPECT_EQ(total.latency.count(), total.bursts);
+  EXPECT_GE(total.latency.count(),
+            (trace.size() + pipeline<>::kBurst - 1) / pipeline<>::kBurst);
+  pipe.stop();
+}
+
 // --- backpressure accounting -------------------------------------------------
 
 TEST(PipelineBackpressure, DropPolicyCountsEveryPacketExactlyOnce) {

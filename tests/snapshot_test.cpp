@@ -620,6 +620,130 @@ TEST(Reshard, RejectsIncompatibleGeometries) {
   EXPECT_FALSE(snapshot_builder::reshard(front, bad).has_value());
 }
 
+// --- golden images ------------------------------------------------------------
+// The v1 and v2 bytes of fixed-seed objects are pinned by digest, so a change
+// to how state is held in memory (the block ring, the restore path, the
+// reshard loader) cannot move a byte of what is saved. Each restored copy
+// must then continue byte-identically to the original through a full wrap of
+// the block ring.
+
+/// FNV-1a 64 of an image: independent of the wire CRC it pins.
+std::uint64_t digest(const bytes_t& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+/// Live entries per block-ring slot of a memento_sketch v1 image, read
+/// straight from its bytes (the ring is the section's tail).
+std::vector<std::uint64_t> ring_counts_v1(const bytes_t& image) {
+  std::vector<std::uint64_t> counts;
+  wire::reader r(image);
+  std::uint32_t magic = 0;
+  std::uint16_t version = 0;
+  wire::reader body, ss;
+  std::uint64_t k = 0, skip = 0, cap = 0, used = 0;
+  double tau = 0.0;
+  if (!r.u32(magic) || !r.open_section(sketch::kWireTag, version, body)) return counts;
+  if (!body.u64(skip) || !body.varint(k) || !body.f64(tau)) return counts;
+  for (int i = 0; i < 4; ++i) (void)body.u64(skip);  // seed, clock, stream, drains
+  if (!body.varint(skip) || !body.varint(skip)) return counts;  // head, cursor
+  if (!body.open_section(space_saving<std::uint64_t>::kWireTag, version, ss)) return counts;
+  if (!body.varint(cap) || !body.varint(used)) return counts;  // overflow table
+  for (std::uint64_t i = 0; i < used; ++i) {
+    if (!body.varint(skip) || !body.u64(skip) || !body.varint(skip)) return {};
+  }
+  for (std::uint64_t slot = 0; slot <= k; ++slot) {
+    std::uint64_t n = 0;
+    if (!body.varint(n) || n > body.remaining() / 8) return {};
+    body.skip(static_cast<std::size_t>(n * 8));
+    counts.push_back(n);
+  }
+  return body.done() ? counts : std::vector<std::uint64_t>{};
+}
+
+template <typename T>
+std::optional<T> restore_streamed(const bytes_t& image) {
+  wire::source src{std::span<const std::uint8_t>(image)};
+  return snapshot::stream_restore<T>(src);
+}
+
+/// Pins both images of `object` and checks that copies restored from each
+/// continue byte-identically through `feed` (which must wrap the ring).
+template <typename T, typename Feed>
+void expect_golden(const T& object, std::uint64_t v1_digest, std::uint64_t v2_digest,
+                   Feed&& feed) {
+  const bytes_t v1 = snapshot::save(object);
+  const bytes_t v2 = snapshot::save_streamed(object);
+  EXPECT_EQ(digest(v1), v1_digest) << "v1 image moved";
+  EXPECT_EQ(digest(v2), v2_digest) << "v2 image moved";
+  auto from_v1 = snapshot::restore<T>(v1);
+  auto from_v2 = restore_streamed<T>(v2);
+  ASSERT_TRUE(from_v1.has_value());
+  ASSERT_TRUE(from_v2.has_value());
+  EXPECT_EQ(snapshot::save(*from_v1), v1);
+  EXPECT_EQ(snapshot::save_streamed(*from_v2), v2);
+  T original = object;
+  feed(original);
+  feed(*from_v1);
+  feed(*from_v2);
+  const bytes_t after = snapshot::save_streamed(original);
+  EXPECT_EQ(snapshot::save_streamed(*from_v1), after);
+  EXPECT_EQ(snapshot::save_streamed(*from_v2), after);
+  EXPECT_EQ(snapshot::save(*from_v2), snapshot::save(original));
+}
+
+TEST(SnapshotGolden, MementoWithUnitThresholdAndEveryQueueLive) {
+  // W = 16, k = 8, tau = 0.7: two-packet blocks, threshold T = 1, so every
+  // sampled packet queues one overflow. 138 packets in, each of the nine
+  // ring slots (the draining oldest one included) holds live entries.
+  sketch a(16, 8, 0.7, 41);
+  ASSERT_EQ(a.overflow_threshold(), 1u);
+  const auto ids = skewed_ids(5000, 1.1, 43, 64);
+  a.update_batch(ids.data(), 138);
+  const auto counts = ring_counts_v1(snapshot::save(a));
+  ASSERT_EQ(counts.size(), 9u);
+  for (std::size_t slot = 0; slot < counts.size(); ++slot) {
+    EXPECT_GT(counts[slot], 0u) << "ring slot " << slot << " is empty";
+  }
+  expect_golden(a, 3465854545470734098ULL, 12297488311825327040ULL, [&](sketch& s) {
+    for (std::size_t i = 138; i < 2138; ++i) s.update(ids[i]);
+    s.update_batch(ids.data() + 2138, 2862);
+    EXPECT_EQ(s.forced_drains(), 0u);
+  });
+}
+
+TEST(SnapshotGolden, ReshardedAndRebalancedFrontend) {
+  const shard_config cfg{24000, 384, 1.0, 47, 4};
+  sharded front(cfg);
+  const auto ids = skewed_ids(200000, 1.0, 53, 1u << 14);
+  front.update_batch(ids.data(), 70000);
+  shard_config two = cfg;
+  two.shards = 2;
+  auto resharded = snapshot_builder::reshard(front, two);
+  ASSERT_TRUE(resharded.has_value());
+  resharded->update_batch(ids.data() + 70000, 30000);
+  shard_table table = shard_table::uniform(2);
+  for (std::size_t b = 0; b < table.buckets(); b += 5) table.to_shard[b] ^= 1u;
+  auto rebalanced = snapshot_builder::reshard(*resharded, two, table);
+  ASSERT_TRUE(rebalanced.has_value());
+  expect_golden(*rebalanced, 5378288793852009749ULL, 11786398757198075739ULL, [&](sharded& s) {
+    s.update_batch(ids.data() + 100000, 100000);
+    for (std::size_t i = 0; i < s.num_shards(); ++i) EXPECT_EQ(s.shard(i).forced_drains(), 0u);
+  });
+}
+
+TEST(SnapshotGolden, OneDimensionalHMemento) {
+  h_memento<source_hierarchy> a(30000, 600, 0.5, 1e-3, 59);
+  const auto ps = trace_packets(100000, 61);
+  a.update_batch(ps.data(), 45000);
+  expect_golden(a, 11503263011329460367ULL, 12998275793555800652ULL,
+                [&](h_memento<source_hierarchy>& h) {
+    h.update_batch(ps.data() + 45000, 55000);
+    EXPECT_EQ(h.inner().forced_drains(), 0u);
+  });
+}
+
 // --- malformed-input hardening ---------------------------------------------
 
 /// Every prefix of a valid snapshot must decode to nullopt; every bit-flip

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/h_memento.hpp"
@@ -266,6 +267,187 @@ TEST(StreamFraming, SourceShortReadRejects) {
       },
       4096);
   EXPECT_FALSE(snapshot::stream_restore<sketch>(src).has_value());
+}
+
+// --- CRC and span-wise CRC bookkeeping --------------------------------------
+
+/// Textbook bitwise CRC32 (IEEE, reflected): no tables, no slicing.
+std::uint32_t crc_reference(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+bytes_t pattern(std::size_t n, std::uint8_t seed) {
+  bytes_t out(n);
+  std::uint32_t x = seed * 2654435761u + 1;
+  for (auto& b : out) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  return out;
+}
+
+TEST(StreamCrc, MatchesTheCheckValueAndTheBitwiseDefinition) {
+  const std::string check = "123456789";
+  const std::span<const std::uint8_t> digits(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  wire::crc32 whole;
+  whole.update(digits.data(), digits.size());
+  EXPECT_EQ(whole.value(), 0xCBF43926u);
+  EXPECT_EQ(crc_reference(digits), 0xCBF43926u);
+
+  // Every split of a buffer into two updates, across the 8-byte slices and
+  // the byte tail, gives the bitwise definition's value.
+  const bytes_t data = pattern(203, 1);
+  const std::uint32_t expected = crc_reference(data);
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    wire::crc32 c;
+    c.update(data.data(), cut);
+    c.update(data.data() + cut, data.size() - cut);
+    ASSERT_EQ(c.value(), expected) << "cut " << cut;
+  }
+}
+
+/// Nested sections, the inner one longer than a 64 KiB chunk, so its body
+/// straddles a flush on the sink side and a refill on the source side.
+struct nested_image {
+  static constexpr std::size_t kBig = 70'000;
+  bytes_t small = pattern(300, 2);
+  bytes_t big = pattern(kBig, 3);
+
+  void write(wire::sink& s) const {
+    s.begin_section(0xA1, 2);
+    s.u8(7);
+    s.bytes(small);
+    s.begin_section(0xB2, 2);
+    s.u64(0x0123456789abcdefULL);
+    s.begin_section(0xC3, 2);
+    s.bytes(big);
+    s.end_section();
+    s.u32(42);
+    s.end_section();
+    s.varint(std::uint64_t{1} << 40);
+    s.end_section();
+    s.begin_section(0xD4, 2);
+    s.u16(9);
+    s.end_section();
+  }
+
+  /// What read() decoded; equal to written() after a clean read.
+  struct fields {
+    std::uint8_t a = 0;
+    bytes_t small, big;
+    std::uint64_t x = 0, v = 0;
+    std::uint32_t b = 0;
+    std::uint16_t d = 0;
+    bool operator==(const fields&) const = default;
+  };
+
+  [[nodiscard]] fields written() const {
+    return {7, small, big, 0x0123456789abcdefULL, std::uint64_t{1} << 40, 42, 9};
+  }
+
+  /// Walks the frames into `got`; false on any framing or CRC failure.
+  [[nodiscard]] bool read(wire::source& src, fields& got) const {
+    std::uint16_t version = 0;
+    got.small.resize(small.size());
+    got.big.resize(big.size());
+    return src.open_section(0xA1, version) && src.u8(got.a) &&
+           src.read(got.small.data(), got.small.size()) && src.open_section(0xB2, version) &&
+           src.u64(got.x) && src.open_section(0xC3, version) &&
+           src.read(got.big.data(), got.big.size()) && src.close_section() && src.u32(got.b) &&
+           src.close_section() && src.varint(got.v) && src.close_section() &&
+           src.open_section(0xD4, version) && src.u16(got.d) && src.close_section() &&
+           src.done();
+  }
+};
+
+bytes_t concat(std::initializer_list<std::span<const std::uint8_t>> parts) {
+  bytes_t out;
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+std::uint32_t stored_crc(const bytes_t& image, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(image[at + i]) << (8 * i);
+  return v;
+}
+
+TEST(StreamCrc, SectionCrcsAndBytesDoNotDependOnChunking) {
+  const nested_image img;
+  bytes_t reference;
+  {
+    wire::sink s(reference);
+    img.write(s);
+    ASSERT_TRUE(s.finish());
+  }
+  // Layout: A header [0, 8), u8, 300 bytes, B header, u64, C header, C
+  // body, C CRC, u32, B CRC, 6-byte varint, A CRC, then D.
+  const std::span<const std::uint8_t> all(reference);
+  const std::size_t b_at = 8 + 1 + 300;
+  const std::size_t c_at = b_at + 8 + 8;
+  const std::size_t c_crc = c_at + 8 + nested_image::kBig;
+  const std::size_t b_crc = c_crc + 4 + 4;
+  const std::size_t a_crc = b_crc + 4 + 6;
+  const std::size_t d_at = a_crc + 4;
+  ASSERT_EQ(reference.size(), d_at + 8 + 2 + 4);
+  // Each byte feeds exactly one CRC: a section's own body bytes, plus the
+  // header and CRC bytes of the sections nested directly inside it.
+  EXPECT_EQ(stored_crc(reference, c_crc),
+            crc_reference(all.subspan(c_at + 8, nested_image::kBig)));
+  EXPECT_EQ(stored_crc(reference, b_crc),
+            crc_reference(concat({all.subspan(b_at + 8, c_at + 8 - (b_at + 8)),
+                                  all.subspan(c_crc, 4 + 4)})));
+  EXPECT_EQ(stored_crc(reference, a_crc),
+            crc_reference(concat({all.subspan(8, b_at + 8 - 8), all.subspan(b_crc, 4 + 6)})));
+  EXPECT_EQ(stored_crc(reference, d_at + 10), crc_reference(all.subspan(d_at + 8, 2)));
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64} * 1024}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    bytes_t out;
+    wire::sink s(
+        [&](std::span<const std::uint8_t> b) {
+          out.insert(out.end(), b.begin(), b.end());
+          return true;
+        },
+        chunk);
+    img.write(s);
+    ASSERT_TRUE(s.finish());
+    EXPECT_EQ(out, reference);
+
+    // The source side, fed in the same chunks, reads back what was written
+    // and refuses a flipped byte wherever it falls: in the body that
+    // straddles a refill, in B's own bytes, in A's own bytes.
+    const auto reads = [&](const bytes_t& image, nested_image::fields& got) {
+      std::size_t at = 0;
+      wire::source src(
+          [&](std::uint8_t* dst, std::size_t want) {
+            const std::size_t n = std::min(want, image.size() - at);
+            std::memcpy(dst, image.data() + at, n);
+            at += n;
+            return n;
+          },
+          chunk);
+      return img.read(src, got);
+    };
+    nested_image::fields got;
+    EXPECT_TRUE(reads(reference, got));
+    EXPECT_TRUE(got == img.written());
+    for (const std::size_t flip : {c_at + 8 + 64 * 1024 - 3, c_crc + 5, a_crc - 2}) {
+      bytes_t bad = reference;
+      bad[flip] ^= 0x04;
+      EXPECT_FALSE(reads(bad, got)) << "flip at " << flip;
+    }
+  }
+  nested_image::fields got;
+  wire::source whole{std::span<const std::uint8_t>(reference)};
+  EXPECT_TRUE(img.read(whole, got));
+  EXPECT_TRUE(got == img.written());
 }
 
 // --- streamed vs monolithic, per type ---------------------------------------

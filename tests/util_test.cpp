@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "util/huge_page_allocator.hpp"
 #include "util/normal.hpp"
 #include "util/random.hpp"
 #include "util/stopwatch.hpp"
@@ -204,6 +206,26 @@ TEST(Stopwatch, MeasuresForwardTime) {
 TEST(Stopwatch, MopsGuardsZeroTime) {
   EXPECT_EQ(mops(1000, 0.0), 0.0);
   EXPECT_NEAR(mops(2'000'000, 1.0), 2.0, 1e-12);
+}
+
+TEST(HugePageAllocator, BigArraysArePageAlignedAndBehaveLikeVectors) {
+  using alloc = huge_page_allocator<std::uint64_t>;
+  constexpr std::size_t kBig = alloc::kHugePage / sizeof(std::uint64_t) + 3;
+  std::vector<std::uint64_t, alloc> big(kBig, 7);
+#if defined(__linux__)
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % alloc::kHugePage, 0u);
+#endif
+  big.back() = 9;
+  std::vector<std::uint64_t, alloc> copy = big;  // copies cross the size threshold too
+  copy.resize(16);
+  copy.shrink_to_fit();
+  EXPECT_EQ(copy.size(), 16u);
+  EXPECT_EQ(copy[15], 7u);
+  EXPECT_EQ(big.back(), 9u);
+  std::vector<std::uint64_t, alloc> small(16, 1);
+  small.resize(kBig, 2);  // grows from operator new storage into a huge-page array
+  EXPECT_EQ(small.front(), 1u);
+  EXPECT_EQ(small.back(), 2u);
 }
 
 }  // namespace
